@@ -1,12 +1,31 @@
 // Sec. 6.1 ablation: the agentic memory store. Replays a probe workload in
 // which agents repeatedly need the same grounding, with the store enabled
-// vs. disabled, and reports executed-query savings and hit rates.
+// vs. disabled, and reports executed-query savings and hit rates. Then a
+// scaling gate: the per-operation cost of the store at 256, 1024 and 4096
+// artifacts.
+//
+//   build/bench/bench_memory_store [--quick]
+//
+// The scaling gate fails (exit 1) unless GetExact (hit and miss) and Put at
+// capacity cost at most 2x at 4096 artifacts what they cost at 256: the
+// operations every probe makes must not scale with store fill. Search is
+// one pass over the store by design and is reported, not gated. --quick
+// runs only the scaling gate, with fewer operations (tools/check.sh).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "agents/sim_agent.h"
 #include "bench_util.h"
+#include "common/rng.h"
+#include "memory/memory_store.h"
 #include "workload/minibird.h"
 
 namespace agentfirst {
@@ -113,10 +132,161 @@ void Run() {
               "other agents already paid for)\n");
 }
 
+/// Per-operation cost (ns/op) of each store operation at one fill level.
+struct ScalingPoint {
+  size_t artifacts = 0;
+  double get_hit_ns = 0;      // 256 hot keys
+  double get_any_hit_ns = 0;  // any live key
+  double get_miss_ns = 0;
+  double put_ns = 0;
+  double search_ns = 0;
+};
+
+constexpr const char* kOwners[] = {"agent-0", "agent-1", "agent-2"};
+
+MemoryArtifact ProbeArtifact(uint64_t i) {
+  MemoryArtifact a;
+  a.kind = ArtifactKind::kProbeResult;
+  a.key = "probe_result:" + std::to_string(i * 2654435761ULL);
+  a.content = "SELECT COUNT(*) FROM sales WHERE state = 'S" + std::to_string(i) + "'";
+  a.table_deps = {"sales"};
+  a.owner = kOwners[i % 3];
+  return a;
+}
+
+/// ns/op of `ops` calls of `fn(i)`; `*i` carries on across calls.
+template <typename Fn>
+double TimeOps(int ops, uint64_t* i, Fn fn) {
+  auto start = std::chrono::steady_clock::now();
+  for (int k = 0; k < ops; ++k) fn((*i)++);
+  auto end = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(end - start).count() / ops;
+}
+
+/// One store filled to capacity `n`, with the keys the timed loops probe.
+struct FilledStore {
+  explicit FilledStore(size_t n) : catalog(), store(&catalog, OptionsFor(n)) {
+    (void)catalog.CreateTable("sales", Schema({ColumnDef("state", DataType::kString)}));
+    for (next = 0; next < n; ++next) store.Put(ProbeArtifact(next));
+    // Live keys are the most recent n puts. Gated hits probe a hot set of
+    // 256 live keys scattered over store order, the same set size at every
+    // fill (agents re-ask a working set, Fig. 2); a scan would still pay
+    // for the whole store. Hits on any live key also pay the cache misses
+    // of touching a larger store at random: reported, not gated.
+    Rng rng(n);
+    for (size_t k = 0; k < n; ++k) {
+      MemoryArtifact a = ProbeArtifact(next - 1 - rng.NextUint(n));
+      (k < 256 ? hot : any).emplace_back(a.key, a.owner);
+    }
+    if (any.empty()) any = hot;
+  }
+  static AgenticMemoryStore::Options OptionsFor(size_t n) {
+    AgenticMemoryStore::Options o;
+    o.capacity = n;
+    return o;
+  }
+  void Hit(const std::vector<std::pair<std::string, std::string>>& keys, uint64_t i) {
+    const auto& [key, owner] = keys[i % keys.size()];
+    if (!store.GetExact(key, owner).has_value()) std::abort();
+  }
+
+  Catalog catalog;
+  AgenticMemoryStore store;
+  uint64_t next = 0;
+  std::vector<std::pair<std::string, std::string>> hot;
+  std::vector<std::pair<std::string, std::string>> any;
+};
+
+/// Times every fill level round-robin, best of `reps` rounds each, so a
+/// slow phase of the host hits all levels alike. Lookups run before puts:
+/// puts evict the keys the lookups probe.
+std::vector<ScalingPoint> MeasureScaling(bool quick) {
+  const int reps = quick ? 9 : 15;
+  const int ops = quick ? 5000 : 20000;
+  std::vector<std::unique_ptr<FilledStore>> stores;
+  std::vector<ScalingPoint> points;
+  for (size_t n : {size_t{256}, size_t{1024}, size_t{4096}}) {
+    stores.push_back(std::make_unique<FilledStore>(n));
+    ScalingPoint p;
+    p.artifacts = n;
+    p.get_hit_ns = p.get_any_hit_ns = p.get_miss_ns = p.put_ns = p.search_ns = 1e300;
+    points.push_back(p);
+  }
+  uint64_t i = 0;
+  for (int r = 0; r < reps; ++r) {
+    for (size_t s = 0; s < stores.size(); ++s) {
+      FilledStore& f = *stores[s];
+      ScalingPoint& p = points[s];
+      p.get_hit_ns = std::min(
+          p.get_hit_ns, TimeOps(ops, &i, [&](uint64_t k) { f.Hit(f.hot, k); }));
+      p.get_any_hit_ns = std::min(
+          p.get_any_hit_ns, TimeOps(ops, &i, [&](uint64_t k) { f.Hit(f.any, k); }));
+      p.get_miss_ns = std::min(p.get_miss_ns, TimeOps(ops, &i, [&](uint64_t k) {
+        if (f.store.GetExact("probe_result:absent" + std::to_string(k % 4096),
+                             "agent-0")) {
+          std::abort();
+        }
+      }));
+      p.search_ns = std::min(p.search_ns, TimeOps(quick ? 20 : 50, &i, [&](uint64_t k) {
+        (void)f.store.Search("count sales where state S" + std::to_string(k % 97), 5,
+                             "agent-0");
+      }));
+    }
+  }
+  // Each put is a new key at capacity: one LRU eviction per put.
+  for (int r = 0; r < reps; ++r) {
+    for (size_t s = 0; s < stores.size(); ++s) {
+      FilledStore& f = *stores[s];
+      points[s].put_ns = std::min(points[s].put_ns, TimeOps(ops / 4, &i, [&](uint64_t) {
+        f.store.Put(ProbeArtifact(f.next++));
+      }));
+    }
+  }
+  return points;
+}
+
+/// The scaling gate. Returns false on FAIL.
+bool RunScaling(bool quick) {
+  std::printf("\n=== memory-store scaling: ns per operation vs store fill ===\n");
+  std::vector<ScalingPoint> points = MeasureScaling(quick);
+  std::vector<std::vector<std::string>> rows;
+  for (const ScalingPoint& p : points) {
+    rows.push_back({std::to_string(p.artifacts), bench::Num(p.get_hit_ns, 0),
+                    bench::Num(p.get_any_hit_ns, 0), bench::Num(p.get_miss_ns, 0),
+                    bench::Num(p.put_ns, 0), bench::Num(p.search_ns, 0)});
+  }
+  bench::PrintTable({"artifacts", "GetExact hit", "hit (any key)", "GetExact miss",
+                     "Put at capacity", "Search k=5"},
+                    rows);
+  const ScalingPoint& small = points.front();
+  const ScalingPoint& full = points.back();
+  struct Gate {
+    const char* op;
+    double at_small;
+    double at_full;
+  };
+  bool pass = true;
+  for (const Gate& g : {Gate{"GetExact hit", small.get_hit_ns, full.get_hit_ns},
+                        Gate{"GetExact miss", small.get_miss_ns, full.get_miss_ns},
+                        Gate{"Put at capacity", small.put_ns, full.put_ns}}) {
+    double ratio = g.at_full / g.at_small;
+    bool ok = ratio <= 2.0;
+    pass = pass && ok;
+    std::printf("%s: %s at 4096 is %.2fx its cost at 256 (limit 2x)\n",
+                ok ? "PASS" : "FAIL", g.op, ratio);
+  }
+  std::printf("not gated: GetExact hit (any key) %.2fx, Search %.2fx (one pass)\n",
+              full.get_any_hit_ns / small.get_any_hit_ns,
+              full.search_ns / small.search_ns);
+  std::printf("verdict: %s\n", pass ? "PASS" : "FAIL");
+  return pass;
+}
+
 }  // namespace
 }  // namespace agentfirst
 
-int main() {
-  agentfirst::Run();
-  return 0;
+int main(int argc, char** argv) {
+  bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  if (!quick) agentfirst::Run();
+  return agentfirst::RunScaling(quick) ? 0 : 1;
 }

@@ -127,17 +127,24 @@ std::vector<std::string> Catalog::ListTables() const {
   return out;
 }
 
-Result<const TableStats*> Catalog::GetStats(const std::string& name) {
+Result<std::shared_ptr<const TableStats>> Catalog::GetStats(const std::string& name) {
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("no such table: " + name);
-  auto cached = stats_cache_.find(name);
-  if (cached != stats_cache_.end() &&
-      cached->second.data_version == it->second->data_version()) {
-    return const_cast<const TableStats*>(&cached->second);
+  const uint64_t version = it->second->data_version();
+  {
+    MutexLock lock(stats_mutex_);
+    auto cached = stats_cache_.find(name);
+    if (cached != stats_cache_.end() && cached->second->data_version == version) {
+      return cached->second;
+    }
   }
+  // Computed outside the lock; concurrent refreshes of one version compute
+  // equal snapshots, and the last one published wins.
   AF_ASSIGN_OR_RETURN(TableStats fresh, ComputeTableStats(*it->second));
-  stats_cache_[name] = std::move(fresh);
-  return const_cast<const TableStats*>(&stats_cache_[name]);
+  auto snapshot = std::make_shared<const TableStats>(std::move(fresh));
+  MutexLock lock(stats_mutex_);
+  stats_cache_[name] = snapshot;
+  return snapshot;
 }
 
 }  // namespace agentfirst

@@ -681,15 +681,17 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
     // exactness.
     if (options_.enable_memory && memory_ != nullptr) {
       std::string key = "probe_result:" + std::to_string(prepared[i].fingerprint);
-      std::optional<MemoryHit> hit;
+      // Copy the cached result out under the lock: once it is released, a
+      // concurrent probe may supersede or stale-drop (and free) the artifact.
+      ResultSetPtr cached;
       {
         MutexLock lock(state_mutex_);
-        hit = memory_->GetExact(key, probe.agent_id);
+        std::optional<MemoryHit> hit = memory_->GetExact(key, probe.agent_id);
+        if (hit.has_value() && !hit->stale) cached = hit->artifact->result;
       }
-      if (hit.has_value() && hit->artifact->result != nullptr && !hit->stale &&
-          (!hit->artifact->result->approximate || !wants_exact)) {
+      if (cached != nullptr && (!cached->approximate || !wants_exact)) {
         answer.status = Status::OK();
-        answer.result = hit->artifact->result;
+        answer.result = std::move(cached);
         answer.from_memory = true;
         answer.approximate = answer.result->approximate;
         answer.sample_rate = answer.result->sample_rate;
@@ -937,9 +939,11 @@ void ProbeOptimizer::FinalizeProbe(ProbeTask* task) {
         probe.semantic_top_k.value_or(kDefaultSemanticTopK));
   }
 
-  // 6. Steering feedback. Finalize runs serially, so holding state_mutex_
-  // across the sleeper analysis is uncontended; it keeps the reference into
-  // recent_tables_ from outliving the lock.
+  // 6. Steering feedback. Within one batch Finalize runs serially, but
+  // concurrent HandleProbe calls (one per server session) run it
+  // concurrently, so state_mutex_ is held across the sleeper analysis: it
+  // serializes the memory store and keeps the reference into recent_tables_
+  // from outliving the lock.
   if (options_.enable_steering) {
     MutexLock lock(state_mutex_);
     auto& recent = recent_tables_[probe.agent_id];

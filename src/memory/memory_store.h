@@ -6,6 +6,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -70,6 +73,13 @@ class MemoryMutationListener {
 /// structured lookup and embedding-based semantic search, staleness
 /// handling against catalog versions (eager invalidation or lazy detection),
 /// LRU eviction, and per-principal access control.
+///
+/// Cost per operation with N artifacts: GetExact is O(1) (a key lookup plus
+/// an LRU touch); Put (supersede + LRU eviction) and RestoreRemove are
+/// O(log N); Search is one O(N * dim) pass over a contiguous embedding array
+/// plus a heap over the candidates above `min_score`; SweepStale and
+/// SnapshotArtifacts are O(N). Store order (SnapshotArtifacts, SaveToFile,
+/// Search's tie-break) is ascending id, since ids only grow.
 class AgenticMemoryStore {
  public:
   enum class StalenessPolicy {
@@ -97,6 +107,9 @@ class AgenticMemoryStore {
 
   AgenticMemoryStore(Catalog* catalog, Options options)
       : catalog_(catalog), options_(options) {}
+  ~AgenticMemoryStore();
+  AgenticMemoryStore(const AgenticMemoryStore&) = delete;
+  AgenticMemoryStore& operator=(const AgenticMemoryStore&) = delete;
 
   /// Stores an artifact (embedding derived from key + content). Returns id.
   /// An artifact with an identical key and owner is superseded.
@@ -126,7 +139,7 @@ class AgenticMemoryStore {
   /// catalog. Returns the number loaded.
   Result<size_t> LoadFromFile(const std::string& path);
 
-  size_t size() const { return artifacts_.size(); }
+  size_t size() const { return by_id_.size(); }
   const Stats& stats() const { return stats_; }
 
   /// Installs (or clears) the durability observer.
@@ -142,9 +155,10 @@ class AgenticMemoryStore {
   uint64_t tick() const { return tick_; }
 
   /// Recovery-only: re-inserts an already-stamped artifact exactly as
-  /// logged — no re-stamping, no supersede scan, no eviction, no listener
+  /// logged — no re-stamping, no supersede, no eviction, no listener
   /// callback (removals were logged separately and replay in order). Counter
   /// state advances so post-recovery puts continue the id/tick sequence.
+  /// The id must not be in the store (a log never re-puts a live id).
   void RestorePut(MemoryArtifact artifact);
   /// Recovery-only: removes the artifact with `id` (no-op when absent).
   void RestoreRemove(uint64_t id);
@@ -155,12 +169,21 @@ class AgenticMemoryStore {
   }
 
  private:
+  using Slot = uint32_t;
+
   bool Visible(const MemoryArtifact& a, const std::string& principal) const;
   bool IsStale(const MemoryArtifact& a) const;
-  void Touch(MemoryArtifact* a);
+  /// Marks `slot` most recently used.
+  void Touch(Slot slot);
   void EvictIfNeeded();
-  /// Erases slot `i` and notifies the listener (the one removal funnel).
-  void RemoveAt(size_t i);
+  /// LRU list maintenance (see lru_prev_).
+  void LruUnlink(Slot slot);
+  void LruInsertSorted(Slot slot);
+  /// Stores `artifact` in a free slot and indexes it; returns the slot.
+  Slot Insert(MemoryArtifact artifact);
+  /// Unindexes and frees `slot`, then notifies the listener when `notify`
+  /// (the one removal funnel).
+  void Remove(Slot slot, bool notify = true);
 
   Catalog* catalog_;
   Options options_;
@@ -169,9 +192,28 @@ class AgenticMemoryStore {
   Stats stats_;
   uint64_t next_id_ = 1;
   uint64_t tick_ = 0;
-  // id -> artifact; parallel embedding storage for semantic search.
-  std::vector<std::unique_ptr<MemoryArtifact>> artifacts_;
-  std::vector<Embedding> embeddings_;
+
+  // Slot storage: removal frees a slot for reuse and never moves the other
+  // artifacts. slots_[s] == nullptr marks a free slot; its embedding row
+  // (kEmbeddingDim floats at embeddings_[s * kEmbeddingDim]) and squared
+  // norm (computed once, at insert) are only meaningful while it is live.
+  std::vector<std::unique_ptr<MemoryArtifact>> slots_;
+  std::vector<float> embeddings_;
+  std::vector<double> norm_sq_;
+  std::vector<Slot> free_slots_;
+  /// Store order: id -> slot, ascending id.
+  std::map<uint64_t, Slot> by_id_;
+  /// key -> slots holding it, in store order. The view points into the key
+  /// of one of those artifacts, so keys are not copied.
+  std::unordered_map<std::string_view, std::vector<Slot>> by_key_;
+  /// LRU order: a doubly linked list over live slots, ascending by
+  /// (last_used_tick, id); the head is the eviction victim. A touch stamps
+  /// the newest tick, so it moves the slot to the tail in O(1).
+  static constexpr Slot kNoSlot = UINT32_MAX;
+  std::vector<Slot> lru_prev_;
+  std::vector<Slot> lru_next_;
+  Slot lru_head_ = kNoSlot;
+  Slot lru_tail_ = kNoSlot;
 };
 
 }  // namespace agentfirst

@@ -497,6 +497,70 @@ TEST(WalRecovery, AutoCheckpointByBytesThreshold) {
   EXPECT_EQ(Canonical(&recovered), digest);
 }
 
+TEST(WalRecovery, MemoryStoreAtCapacityRecoversByteIdentical) {
+  // A small store that keeps evicting and superseding: recovery rebuilds it
+  // through RestorePut/RestoreRemove (checkpoint, then WAL replay) and must
+  // land on the live state byte for byte. Touches are not logged, so the
+  // LRU-reordering GetExact hits all happen before the checkpoint.
+  std::string dir = TempDir("memory_at_capacity");
+  std::string crash_dir = dir + "_crash";
+  AgentFirstSystem::Options sys_options;
+  sys_options.memory.capacity = 8;
+  AgentFirstSystem live(sys_options);
+  DurabilityOptions options;
+  options.data_dir = dir;
+  ASSERT_TRUE(live.EnableDurability(options).ok());
+  ASSERT_TRUE(live.ExecuteSql("CREATE TABLE t (x BIGINT)").ok());
+  const std::vector<std::string> owners = {"", "alice", "bob"};
+  auto put = [&](AgentFirstSystem* sys, int i) {
+    MemoryArtifact a;
+    a.kind = i % 4 == 0 ? ArtifactKind::kStatSummary : ArtifactKind::kGroundingNote;
+    // Runs of 7 same-owner puts over 5 keys: supersedes within a run,
+    // evictions as the owner changes.
+    a.key = "note:" + std::to_string(i % 5);
+    a.owner = owners[(i / 7) % owners.size()];
+    a.content = "observation " + std::to_string(i);
+    a.table_deps = {"t"};
+    (void)sys->memory()->Put(std::move(a));
+  };
+  for (int i = 0; i < 40; ++i) put(&live, i);
+  for (int k = 0; k < 5; k += 2) {
+    (void)live.memory()->GetExact("note:" + std::to_string(k));
+  }
+  ASSERT_TRUE(live.CheckpointNow().ok());
+  for (int i = 40; i < 100; ++i) put(&live, i);
+  const AgenticMemoryStore::Stats& stats = live.memory()->stats();
+  EXPECT_GT(stats.evictions, 0u);
+  // Puts that neither grew the store nor evicted superseded an artifact.
+  EXPECT_GT(stats.puts, stats.evictions + live.memory()->size());
+  EXPECT_EQ(live.memory()->size(), 8u);
+  ASSERT_TRUE(live.DurabilityBarrier().ok());
+  SnapshotDataDir(dir, crash_dir);
+
+  AgentFirstSystem recovered(sys_options);
+  DurabilityOptions ropts;
+  ropts.data_dir = crash_dir;
+  ASSERT_TRUE(recovered.EnableDurability(ropts).ok());
+  EXPECT_TRUE(recovered.recovery_report().checkpoint_loaded);
+  EXPECT_GT(recovered.recovery_report().records_replayed, 0u);
+  EXPECT_EQ(Canonical(&recovered), Canonical(&live));
+
+  // The rebuilt indexes behave like the live ones: the same further puts
+  // supersede and evict the same artifacts, and lookups agree.
+  for (int i = 100; i < 130; ++i) {
+    put(&live, i);
+    put(&recovered, i);
+  }
+  for (int k = 0; k < 5; ++k) {
+    std::string key = "note:" + std::to_string(k);
+    auto a = live.memory()->GetExact(key, "alice");
+    auto b = recovered.memory()->GetExact(key, "alice");
+    ASSERT_EQ(a.has_value(), b.has_value()) << key;
+    if (a.has_value()) EXPECT_EQ(a->artifact->id, b->artifact->id) << key;
+  }
+  EXPECT_EQ(Canonical(&recovered), Canonical(&live));
+}
+
 TEST(WalRecovery, TornTailIsTruncatedAndRecoveryIsIdempotent) {
   std::string dir = TempDir("torn");
   std::string digest;

@@ -19,14 +19,18 @@
 #                       drives it with afprobe, then runs net_test and
 #                       fuzz_wire_test under the same TSan build
 #   7. vectorized     — row/vec parity + thread-count determinism under the
-#                       same TSan build, then the bench smoke
-#                       (bench_parallel_exec --quick), which fails if the
-#                       vectorized path is ever slower than the row path
+#                       same TSan build, plus concurrent probes sharing the
+#                       memory store (probe_concurrency_test), then the bench
+#                       smokes: bench_parallel_exec --quick fails if the
+#                       vectorized path is ever slower than the row path;
+#                       bench_memory_store --quick fails if GetExact or Put
+#                       at 4096 artifacts costs over 2x its cost at 256
 #   8. durability     — the WAL kill-and-recover torture (wal_test) under
 #                       AddressSanitizer via tools/run_sanitized.sh: every
 #                       injected crash site must recover to a committed
 #                       prefix with no leaks or heap errors on the
-#                       error/recovery paths
+#                       error/recovery paths; probe_concurrency_test runs
+#                       there too (a freed memory hit is a heap error)
 #   9. fleet smoke    — a 4-loop TSan afserved with admission quotas and
 #                       token auth armed: authenticated pipelined smoke via
 #                       afprobe, a rejected bad-token connect, then the
@@ -143,27 +147,34 @@ if [[ "$run_tests" == "1" ]]; then
   # answer at 1/2/4/8 threads) have to hold under TSan, or the batch
   # kernels' lock-free morsel claiming is wrong in a way plain runs can
   # miss. Reuses the stage-5 TSan build tree.
-  cmake --build build-tsan -j "$(nproc)" \
-        --target vectorized_exec_test parallel_determinism_test > /dev/null
+  cmake --build build-tsan -j "$(nproc)" --target vectorized_exec_test \
+        parallel_determinism_test probe_concurrency_test > /dev/null
   ./build-tsan/tests/vectorized_exec_test
   ./build-tsan/tests/parallel_determinism_test
+  # Concurrent HandleProbe calls share the memory store; a memory hit must
+  # not read its artifact after a concurrent probe may have freed it.
+  ./build-tsan/tests/probe_concurrency_test
   # Perf gate: the vectorized path must beat the row path on its own
   # workloads (scan+filter, hash join, aggregate); --quick exits non-zero
   # on any regression. Run from the default (unsanitized) build.
   cmake --build build -j "$(nproc)" --target bench_parallel_exec > /dev/null
   ./build/bench/bench_parallel_exec --quick
+  # Scaling gate: the memory-store operations every probe makes must not
+  # grow with store fill (exit 1 on FAIL).
+  cmake --build build -j "$(nproc)" --target bench_memory_store > /dev/null
+  ./build/bench/bench_memory_store --quick
 else
   echo "=== [7/10] vectorized parity + bench smoke skipped (--no-tests) ==="
 fi
 
 if [[ "$run_tests" == "1" ]]; then
-  echo "=== [8/10] durability kill-and-recover torture (ASan) ==="
+  echo "=== [8/10] durability kill-and-recover torture + concurrent probes (ASan) ==="
   # The whole wal_test suite — framing fuzz, group commit, and the
   # >=50-injection-point crash torture — under AddressSanitizer with leak
   # detection. The crash sites exercise every error/cleanup path in the
   # writer, checkpointer, and recoverer; ASan proves those paths release
   # what they allocate even when the "disk" fails mid-operation.
-  tools/run_sanitized.sh address wal_test
+  tools/run_sanitized.sh address 'wal_test|probe_concurrency_test'
 else
   echo "=== [8/10] durability torture skipped (--no-tests) ==="
 fi
