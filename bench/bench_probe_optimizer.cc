@@ -86,7 +86,6 @@ Outcome RunConfig(bool agent_first) {
     auto& opt = options.system_options.optimizer;
     opt.enable_aqp = false;
     opt.enable_memory = false;
-    opt.enable_mqo = false;
     opt.enable_semantic_pruning = false;
     opt.enable_satisficing = false;
     opt.enable_steering = false;

@@ -92,7 +92,6 @@ int main() {
               episodes);
 
   const ProbeOptimizer::Metrics& m = db->optimizer()->metrics();
-  SharingStats sharing = db->optimizer()->sharing_stats();
   std::printf("\nsystem accounting across the whole session:\n");
   std::printf("  probes handled:        %llu\n",
               static_cast<unsigned long long>(m.probes));
@@ -104,8 +103,6 @@ int main() {
               static_cast<unsigned long long>(m.queries_approximate));
   std::printf("  skipped (satisficing): %llu\n",
               static_cast<unsigned long long>(m.queries_skipped));
-  std::printf("  sub-plan cache hits:   %llu\n",
-              static_cast<unsigned long long>(sharing.cache_hits));
   std::printf("  memory artifacts:      %zu\n", db->memory()->size());
   return 0;
 }

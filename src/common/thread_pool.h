@@ -17,8 +17,8 @@ namespace agentfirst {
 /// Work-stealing thread pool: per-worker deques (owner pops LIFO from the
 /// back, thieves steal FIFO from the front) plus a global injector queue for
 /// tasks submitted from non-pool threads. This is the process-wide scheduler
-/// behind morsel-driven operator parallelism (Leis et al., SIGMOD 2014),
-/// MQO batch execution, and concurrent probe answering — everything draws
+/// behind morsel-driven operator parallelism (Leis et al., SIGMOD 2014)
+/// and concurrent probe answering — everything draws
 /// from one pool so concurrent layers compose instead of oversubscribing.
 ///
 /// Nesting is safe: a task running on a worker may Submit further tasks

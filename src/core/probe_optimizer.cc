@@ -8,6 +8,8 @@
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
+#include "core/admission.h"
+#include "exec/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/aqp.h"
@@ -27,12 +29,6 @@ ProbeOptimizer::Options NormalizeOptions(ProbeOptimizer::Options options) {
   if (options.batch_parallelism == 0) options.batch_parallelism = hw;
   if (options.intra_query_threads == 0) options.intra_query_threads = hw;
   return options;
-}
-
-ExecOptions BatchBaseOptions(size_t intra_query_threads) {
-  ExecOptions eo;
-  eo.num_threads = intra_query_threads;
-  return eo;
 }
 
 /// Deterministic backoff jitter in [0.5, 1.5): a pure function of
@@ -87,7 +83,6 @@ ProbeOptimizer::ProbeOptimizer(Catalog* catalog, AgenticMemoryStore* memory,
       memory_(memory),
       search_(search),
       options_(NormalizeOptions(options)),
-      batch_(BatchBaseOptions(options_.intra_query_threads)),
       sleeper_(catalog, memory, search) {}
 
 namespace {
@@ -153,8 +148,8 @@ void ProbeOptimizer::AdviseMaterialization(const PlanPtr& plan,
           HintKind::kSchemaGuidance,
           std::string("the ") + PlanKindName(sub.node->kind) + " over [" +
               tables + "] has recurred " + std::to_string(entry.first) +
-              " times across probes; its result is now pinned in the shared "
-              "cache (materialized)",
+              " times across probes; consider keeping it materialized with "
+              "CREATE TABLE ... AS SELECT and querying that table instead",
           0.45});
     }
   }
@@ -207,17 +202,8 @@ struct ProbeOptimizer::ProbeTask {
 
 Result<std::vector<ProbeResponse>> ProbeOptimizer::ProcessBatch(
     const std::vector<Probe>& probes) {
-  // Admission control: order by brief priority, then phase urgency.
-  auto phase_rank = [](ProbePhase p) {
-    switch (p) {
-      case ProbePhase::kValidation: return 0;
-      case ProbePhase::kSolutionFormulation: return 1;
-      case ProbePhase::kStatExploration: return 2;
-      case ProbePhase::kMetadataExploration: return 3;
-      case ProbePhase::kUnspecified: return 4;
-    }
-    return 5;
-  };
+  // Admission control: order by brief priority, then phase urgency (the
+  // same PhaseAdmissionPriority the server's admission queue uses).
   std::vector<size_t> order(probes.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::vector<Brief> interpreted;
@@ -227,7 +213,8 @@ Result<std::vector<ProbeResponse>> ProbeOptimizer::ProcessBatch(
     if (interpreted[a].priority != interpreted[b].priority) {
       return interpreted[a].priority > interpreted[b].priority;
     }
-    return phase_rank(interpreted[a].phase) < phase_rank(interpreted[b].phase);
+    return PhaseAdmissionPriority(interpreted[a].phase) >
+           PhaseAdmissionPriority(interpreted[b].phase);
   });
 
   // Phase 1 (serial, admission order): parse/bind/cost + every admission,
@@ -726,7 +713,6 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
     }
 
     ExecOptions exec_options;
-    exec_options.cache = options_.enable_mqo ? batch_.cache() : nullptr;
     exec_options.num_threads = options_.intra_query_threads;
     // A probe that arrived with its own token (a network session's
     // disconnect source) is governed by that token; everything else follows
@@ -756,12 +742,7 @@ void ProbeOptimizer::ExecuteProbe(ProbeTask* task) {
         answer.relative_ci95 = approx->relative_ci95;
         return approx->result;
       }
-      // With MQO off, probes must be pure functions of their content:
-      // bypass BatchExecutor entirely (it installs the shared sub-plan
-      // cache unconditionally, which would leak state across probes).
-      if (!options_.enable_mqo) return ExecutePlan(*prepared[i].plan, eo);
-      auto results = batch_.ExecuteBatch({prepared[i].plan}, eo);
-      return results[0];
+      return ExecutePlan(*prepared[i].plan, eo);
     };
 
     // Transient-fault retry with seeded jittered exponential backoff.

@@ -17,19 +17,17 @@
 #include "core/semantic_search.h"
 #include "core/steering.h"
 #include "memory/memory_store.h"
-#include "opt/mqo.h"
 
 namespace agentfirst {
 
 /// The satisficing probe optimizer (paper Sec. 5): decides *what* to execute
 /// (admission control by phase, semantic pruning against the goal, k-of-n
 /// satisficing, memory-store short-circuiting) and *how* (approximation
-/// level chosen from phase/accuracy, multi-query shared execution), then
+/// level chosen from phase/accuracy, on either execution engine), then
 /// invokes the sleeper agent for steering feedback.
 class ProbeOptimizer {
  public:
   struct Options {
-    bool enable_mqo = true;          // shared sub-plan cache across probes
     bool enable_aqp = true;          // sampling for exploratory phases
     bool enable_memory = true;       // read/write the agentic memory store
     bool enable_steering = true;     // sleeper-agent hints
@@ -48,8 +46,9 @@ class ProbeOptimizer {
     double semantic_prune_threshold = 0.05;
     size_t recent_tables_per_agent = 8;
     /// Materialization advisor (paper Sec. 5.2.2): when a join/aggregate
-    /// sub-plan recurs this many times across probes, its result is pinned
-    /// in the shared cache and a hint is emitted. 0 disables the advisor.
+    /// sub-plan recurs this many times across probes, a hint suggests
+    /// materializing it with CREATE TABLE ... AS SELECT. 0 disables the
+    /// advisor.
     size_t materialization_threshold = 3;
     /// Invest heuristic (paper Sec. 5.2.2): once the same underlying
     /// relation has been asked about this many times, answer exactly even
@@ -69,7 +68,7 @@ class ProbeOptimizer {
     /// default); 0 = hardware concurrency; N = at most N probes in flight.
     /// Note: with parallelism, probes in one batch no longer observe memory
     /// artifacts written by other probes of the *same* batch
-    /// deterministically — the shared sub-plan cache still dedupes the work.
+    /// deterministically, so a repeated query may execute more than once.
     size_t batch_parallelism = 1;
     /// Intra-query morsel parallelism for executed probe queries
     /// (ExecOptions::num_threads); draws from the same pool.
@@ -138,8 +137,9 @@ class ProbeOptimizer {
 
   /// Answers a batch of concurrently submitted probes (paper Sec. 5.2.1):
   /// admission control orders them by brief priority, then by phase
-  /// (validation > formulation > statistics > metadata), and the shared
-  /// sub-plan cache plus the memory store absorb cross-probe redundancy.
+  /// (PhaseAdmissionPriority: validation > formulation > unspecified >
+  /// statistics > metadata), and the memory store absorbs cross-probe
+  /// redundancy.
   /// Responses are returned in the submission order.
   Result<std::vector<ProbeResponse>> ProcessBatch(const std::vector<Probe>& probes);
 
@@ -149,8 +149,6 @@ class ProbeOptimizer {
     MutexLock lock(state_mutex_);
     return metrics_;
   }
-  SharingStats sharing_stats() const { return batch_.stats(); }
-  void InvalidateCaches() { batch_.InvalidateCache(); }
 
   /// Installs the cooperative cancellation token consulted by every probe
   /// execution (the system facade points this at its CancelAllProbes
@@ -198,7 +196,6 @@ class ProbeOptimizer {
   /// Never held across plan execution.
   mutable Mutex state_mutex_;
   BriefInterpreter interpreter_;
-  BatchExecutor batch_;
   SleeperAgent sleeper_;
   Metrics metrics_ AF_GUARDED_BY(state_mutex_);
   // Per-agent recently touched tables (batching suggestions).

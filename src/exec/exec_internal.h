@@ -2,7 +2,9 @@
 #define AGENTFIRST_EXEC_EXEC_INTERNAL_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/cancellation.h"
@@ -13,6 +15,8 @@
 #include "exec/executor.h"
 #include "exec/result_set.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "plan/logical_plan.h"
 #include "types/value.h"
 
 /// Shared internals of the row and vectorized execution paths. Everything
@@ -37,8 +41,8 @@ constexpr size_t kMinParallelRows = 2048;
 /// "stops within one morsel of the deadline" holds at any thread count.
 constexpr size_t kCheckInterval = kRowMorselSize;
 
-/// Rough resident footprint of one row (shared by the cache estimate and the
-/// executor's byte-budget accounting).
+/// Rough resident footprint of one row (the executor's byte-budget
+/// accounting).
 inline size_t ApproxRowBytes(const Row& row) {
   size_t total = sizeof(Row) + row.size() * sizeof(Value);
   for (const Value& v : row) {
@@ -50,11 +54,6 @@ inline size_t ApproxRowBytes(const Row& row) {
 /// Process-wide executor metrics (af.exec.*). Pointers are resolved once and
 /// cached, so each hot-path update is a single relaxed atomic add.
 struct ExecMetrics {
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
-  obs::Counter* cache_evictions;
-  obs::Counter* cache_hit_bytes;
-  obs::Counter* cache_evicted_bytes;
   obs::Counter* plans;
   obs::Counter* morsels;
   obs::Histogram* plan_us;
@@ -72,11 +71,6 @@ inline ExecMetrics& Metrics() {
   static ExecMetrics* m = [] {
     auto& reg = obs::MetricsRegistry::Default();
     auto* metrics = new ExecMetrics();
-    metrics->cache_hits = reg.GetCounter("af.exec.cache.hits");
-    metrics->cache_misses = reg.GetCounter("af.exec.cache.misses");
-    metrics->cache_evictions = reg.GetCounter("af.exec.cache.evictions");
-    metrics->cache_hit_bytes = reg.GetCounter("af.exec.cache.hit_bytes");
-    metrics->cache_evicted_bytes = reg.GetCounter("af.exec.cache.evicted_bytes");
     metrics->plans = reg.GetCounter("af.exec.plans");
     metrics->morsels = reg.GetCounter("af.exec.morsels");
     metrics->plan_us = reg.GetHistogram("af.exec.plan_us");
@@ -87,6 +81,21 @@ inline ExecMetrics& Metrics() {
     return metrics;
   }();
   return *m;
+}
+
+/// Appends the `op:<Kind>` span both engines record per executed operator
+/// (ExecOptions::trace): inclusive wall time since `start`, output rows, and
+/// truncation. One definition keeps the trace independent of the engine.
+inline void RecordOpSpan(obs::TraceSpan* trace, const PlanNode& node,
+                         std::chrono::steady_clock::time_point start,
+                         size_t rows, bool truncated) {
+  obs::TraceSpan* span =
+      trace->AddChild(std::string("op:") + PlanKindName(node.kind));
+  span->duration_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  span->AddNote("rows", std::to_string(rows));
+  if (truncated) span->AddNote("truncated", "true");
 }
 
 inline ThreadPool* PoolFor(const ExecOptions& options) {

@@ -30,114 +30,7 @@ using exec_internal::PoolFor;
 using exec_internal::StampTruncation;
 using exec_internal::UseParallel;
 
-ExecCache::ExecCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
-
-size_t ExecCache::ApproxResultBytes(const ResultSet& result) {
-  size_t total = sizeof(ResultSet);
-  for (const Row& row : result.rows) total += ApproxRowBytes(row);
-  return total;
-}
-
-ResultSetPtr ExecCache::Get(uint64_t key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    misses_.Increment();
-    Metrics().cache_misses->Increment();
-    return nullptr;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-  hits_.Increment();
-  Metrics().cache_hits->Increment();
-  Metrics().cache_hit_bytes->Add(it->second.bytes);
-  return it->second.result;
-}
-
-void ExecCache::Put(uint64_t key, ResultSetPtr result) {
-  size_t result_bytes = ApproxResultBytes(*result);
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    shard.bytes -= it->second.bytes;
-    shard.bytes += result_bytes;
-    it->second.result = std::move(result);
-    it->second.bytes = result_bytes;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-  } else {
-    shard.lru.push_front(key);
-    shard.entries[key] = Entry{std::move(result), result_bytes, shard.lru.begin()};
-    shard.bytes += result_bytes;
-  }
-  EvictOverBudgetLocked(shard);
-}
-
-void ExecCache::EvictOverBudgetLocked(Shard& shard) {
-  size_t shard_budget =
-      std::max<size_t>(1, capacity_bytes_.load(std::memory_order_relaxed) / kNumShards);
-  // Never evict the entry just touched (front): a single over-budget result
-  // stays resident until something displaces it.
-  while (shard.bytes > shard_budget && shard.lru.size() > 1) {
-    uint64_t victim = shard.lru.back();
-    shard.lru.pop_back();
-    auto it = shard.entries.find(victim);
-    shard.bytes -= it->second.bytes;
-    evictions_.Increment();
-    Metrics().cache_evictions->Increment();
-    Metrics().cache_evicted_bytes->Add(it->second.bytes);
-    shard.entries.erase(it);
-  }
-}
-
-void ExecCache::Clear() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    shard.entries.clear();
-    shard.lru.clear();
-    shard.bytes = 0;
-  }
-  hits_.Reset();
-  misses_.Reset();
-  evictions_.Reset();
-}
-
-size_t ExecCache::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    total += shard.entries.size();
-  }
-  return total;
-}
-
-size_t ExecCache::bytes() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    total += shard.bytes;
-  }
-  return total;
-}
-
-void ExecCache::set_capacity_bytes(size_t capacity_bytes) {
-  capacity_bytes_.store(capacity_bytes);
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    EvictOverBudgetLocked(shard);
-  }
-}
-
 namespace {
-
-uint64_t CacheKey(const PlanNode& node, const ExecOptions& options) {
-  uint64_t key = PlanFingerprint(node);
-  if (options.sample_rate < 1.0) {
-    key = HashCombine(key, HashDouble(options.sample_rate));
-    key = HashCombine(key, HashInt(options.sample_seed));
-  }
-  return key;
-}
 
 /// Runs `body(row_begin, row_end, buffer)` over fixed-size morsels of
 /// [0, num_rows) on the pool and appends the per-morsel buffers to `out` in
@@ -389,8 +282,8 @@ Result<ResultSetPtr> ExecFilter(const PlanNode& node, const ExecOptions& options
   out->sample_rate = input->sample_rate;
   CarryTruncation(*input, out.get());
   size_t n = input->rows.size();
-  // A use count of 1 means no cache or upstream operator aliases the input,
-  // so surviving rows can be moved out instead of copied.
+  // A use count of 1 means nothing else aliases the input, so surviving
+  // rows can be moved out instead of copied.
   bool unique_input = input.use_count() == 1;
   // Drain mode (plan already tripped): the input is a bounded partial, so
   // run it through serially without further interrupt checks — stopping
@@ -888,13 +781,12 @@ Result<ResultSetPtr> ExecNode(const PlanNode& node, const ExecOptions& options,
     AF_RETURN_IF_ERROR(ctx.TakeError());
   }
   // Vectorized fast path: batch-convertible sub-trees run end-to-end on
-  // typed columnar kernels with byte-identical results. Only taken when no
-  // result cache (MQO hit accounting), trace (span-per-operator trees), or
-  // sampling is in play — those features observe per-operator row results,
-  // so they stay on the row path.
-  if (options.vectorized && options.cache == nullptr &&
-      options.trace == nullptr && options.sample_rate >= 1.0) {
+  // typed columnar kernels with byte-identical results and the same
+  // per-operator spans. Sampled scans stay on the row path.
+  if (options.vectorized && options.sample_rate >= 1.0) {
     if (vec::CanVectorize(node)) {
+      size_t spans_before =
+          options.trace != nullptr ? options.trace->children.size() : 0;
       Result<ResultSetPtr> vres = vec::ExecuteVectorized(node, options, ctx);
       if (vres.ok() ||
           vres.status().code() != StatusCode::kResourceExhausted) {
@@ -907,26 +799,15 @@ Result<ResultSetPtr> ExecNode(const PlanNode& node, const ExecOptions& options,
       // not turn that contract into a hard failure: clear the attempt's
       // fault trip and re-run this subtree row-at-a-time. (A concurrent
       // deadline/budget trip survives ClearFault, so the rerun drains into
-      // the usual truncated partial.)
+      // the usual truncated partial.) The abandoned attempt's operator spans
+      // go too; the rerun records its own.
       ctx.ClearFault();
+      if (options.trace != nullptr) options.trace->children.resize(spans_before);
     }
     Metrics().vec_fallbacks->Increment();
   }
-  uint64_t key = 0;
-  if (options.cache != nullptr) {
-    key = CacheKey(node, options);
-    if (ResultSetPtr cached = options.cache->Get(key); cached != nullptr) {
-      if (options.trace != nullptr) {
-        obs::TraceSpan* span = options.trace->AddChild(
-            std::string("op:") + PlanKindName(node.kind));
-        span->AddNote("cached", "true");
-        span->AddNote("rows", std::to_string(cached->rows.size()));
-      }
-      return cached;
-    }
-  }
-  // Tracing disabled (the default) costs exactly this one branch per
-  // operator; enabled, it costs two clock reads plus one span append.
+  // Tracing disabled costs exactly this one branch per operator; enabled,
+  // it costs two clock reads plus one span append.
   std::chrono::steady_clock::time_point op_start;
   if (options.trace != nullptr) op_start = std::chrono::steady_clock::now();
   Result<ResultSetPtr> result = [&]() -> Result<ResultSetPtr> {
@@ -947,24 +828,8 @@ Result<ResultSetPtr> ExecNode(const PlanNode& node, const ExecOptions& options,
   if (options.trace != nullptr && result.ok()) {
     // Children recurse inside the switch, so operator spans land in
     // deterministic post-order (a subtree's ops precede its root's).
-    obs::TraceSpan* span =
-        options.trace->AddChild(std::string("op:") + PlanKindName(node.kind));
-    span->duration_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - op_start)
-                            .count();
-    span->AddNote("rows", std::to_string((*result)->rows.size()));
-    if ((*result)->truncated) span->AddNote("truncated", "true");
-  }
-  if (result.ok() && options.cache != nullptr && options.cache_subplans &&
-      !(*result)->truncated) {
-    // Truncated results are partial answers for THIS probe's deadline or
-    // budget; caching them would poison exact re-executions.
-    Status put_fault = AF_FAULT_STATUS("exec.cache.put");
-    if (put_fault.ok()) {
-      options.cache->Put(key, result.value());
-    }
-    // An injected allocation failure here only skips caching — the result
-    // itself is sound, so execution proceeds.
+    exec_internal::RecordOpSpan(options.trace, node, op_start,
+                                (*result)->rows.size(), (*result)->truncated);
   }
   return result;
 }

@@ -1,97 +1,24 @@
 #ifndef AGENTFIRST_EXEC_EXECUTOR_H_
 #define AGENTFIRST_EXEC_EXECUTOR_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <unordered_map>
 
 #include "common/cancellation.h"
 #include "common/limits.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "exec/result_set.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "plan/fingerprint.h"
 #include "plan/logical_plan.h"
 
 namespace agentfirst {
-
-/// Shared materialized-result cache keyed by strict plan fingerprint (plus
-/// the effective sampling rate). The multi-query optimizer executes a batch
-/// of plans through one cache so identical sub-plans run once; scan
-/// fingerprints include the table data version, so writes invalidate
-/// naturally.
-///
-/// Thread-safe and built for parallel batches: entries are spread over
-/// mutex-striped shards (so concurrent executors don't serialize on one
-/// lock) and each shard evicts least-recently-used entries against a byte
-/// budget (so speculation storms can't grow the cache unboundedly).
-class ExecCache {
- public:
-  static constexpr size_t kDefaultCapacityBytes = 256ull << 20;  // 256 MiB
-
-  explicit ExecCache(size_t capacity_bytes = kDefaultCapacityBytes);
-
-  ResultSetPtr Get(uint64_t key);
-  void Put(uint64_t key, ResultSetPtr result);
-  void Clear();
-
-  size_t size() const;
-  /// Estimated resident bytes across all shards.
-  size_t bytes() const;
-  uint64_t hits() const { return hits_.value(); }
-  uint64_t misses() const { return misses_.value(); }
-  uint64_t evictions() const { return evictions_.value(); }
-
-  void set_capacity_bytes(size_t capacity_bytes);
-
-  /// Rough footprint of a materialized result (rows, values, string heap).
-  static size_t ApproxResultBytes(const ResultSet& result);
-
- private:
-  static constexpr size_t kNumShards = 16;
-
-  struct Entry {
-    ResultSetPtr result;
-    size_t bytes = 0;
-    std::list<uint64_t>::iterator lru_it;
-  };
-  struct Shard {
-    mutable Mutex mutex;
-    std::unordered_map<uint64_t, Entry> entries AF_GUARDED_BY(mutex);
-    std::list<uint64_t> lru AF_GUARDED_BY(mutex);  // front = most recently used
-    size_t bytes AF_GUARDED_BY(mutex) = 0;
-  };
-
-  Shard& ShardFor(uint64_t key) { return shards_[(key >> 56) % kNumShards]; }
-  void EvictOverBudgetLocked(Shard& shard) AF_REQUIRES(shard.mutex);
-
-  Shard shards_[kNumShards];
-  // Capacity is a configuration knob read at eviction time, not a counter.
-  // aflint:allow(raw-counter)
-  std::atomic<size_t> capacity_bytes_;
-  // Per-instance stats (many caches coexist: one per BatchExecutor). The
-  // process-wide totals additionally flow into MetricsRegistry::Default()
-  // under af.exec.cache.* (see executor.cc).
-  obs::Counter hits_;
-  obs::Counter misses_;
-  obs::Counter evictions_;
-};
 
 struct ExecOptions {
   /// Scan-level Bernoulli sampling rate in (0, 1]; 1.0 = exact.
   double sample_rate = 1.0;
   /// Seed for the sampler (deterministic given plan + seed).
   uint64_t sample_seed = 42;
-  /// Optional shared sub-plan cache (multi-query optimization). Not owned.
-  ExecCache* cache = nullptr;
-  /// When set, caches every operator's result, not just the root's
-  /// (enables cross-query sub-plan sharing at memory cost).
-  bool cache_subplans = true;
   /// Horvitz-Thompson scaling: when scans are sampled, COUNT and SUM
   /// aggregates are scaled by 1/sample_rate (DISTINCT aggregates and
   /// MIN/MAX/AVG are left unscaled). Disable to observe raw sample values.
@@ -110,8 +37,8 @@ struct ExecOptions {
   /// `truncated = true` and `interrupt = kDeadlineExceeded` — operators
   /// downstream of the trip drain their already-materialized inputs so
   /// partial rows survive to the root. `limits.max_rows` / `max_bytes` are
-  /// per-operator output caps (bytes measured like
-  /// ExecCache::ApproxResultBytes); exceeding one truncates with
+  /// per-operator output caps (bytes measured per row like
+  /// exec_internal::ApproxRowBytes); exceeding one truncates with
   /// `interrupt = kResourceExhausted`. `limits.cost_budget` is an
   /// optimizer-layer concept and is ignored here.
   ResourceLimits limits;
@@ -120,18 +47,18 @@ struct ExecOptions {
   /// no result.
   CancellationToken cancel;
   /// When set, one `op:<kind>` child span is appended under this span per
-  /// executed operator (flat, post-order) carrying its output rows, cache
-  /// status, and wall time. Not owned; must outlive the call. One plan
-  /// execution per span — the recording is not synchronized at all across
-  /// plans. nullptr (the default) disables tracing at the cost of one branch.
+  /// executed operator (flat, post-order) carrying its output rows,
+  /// truncation, and inclusive wall time. Both engines record the same span
+  /// names and notes, so the trace does not depend on which engine ran. Not
+  /// owned; must outlive the call. One plan execution per span — the
+  /// recording is not synchronized at all across plans. nullptr disables
+  /// tracing at the cost of one branch per operator.
   obs::TraceSpan* trace = nullptr;
   /// Run batch-convertible sub-plans through the vectorized engine (typed
   /// columnar kernels + per-query arena; see DESIGN.md "Vectorized execution
   /// & memory"). Results are byte-identical to the row path — this is purely
   /// a performance knob, kept toggleable so the parity tests can diff both
-  /// paths. The vectorized path only engages when no result cache, trace, or
-  /// sampling is configured; otherwise execution transparently stays on the
-  /// row path.
+  /// paths. Sampled scans (sample_rate < 1) still run on the row path.
   bool vectorized = true;
 };
 

@@ -12,7 +12,7 @@
 namespace agentfirst {
 
 /// A fully materialized query result. Immutable once returned, so it can be
-/// shared between the multi-query cache, the memory store, and callers.
+/// shared between the memory store and callers.
 struct ResultSet {
   Schema schema;
   std::vector<Row> rows;
@@ -23,7 +23,7 @@ struct ResultSet {
   /// True when execution stopped early — deadline expiry or an output
   /// budget — so `rows` hold whatever had been merged by then: a well-formed
   /// but incomplete answer (the paper's partial-result satisficing). The
-  /// executor never caches truncated results.
+  /// memory store never keeps truncated results.
   bool truncated = false;
   /// Why execution stopped early: kDeadlineExceeded or kResourceExhausted
   /// (kOk when not truncated).

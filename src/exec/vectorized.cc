@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -15,6 +16,7 @@
 #include "common/hash.h"
 #include "exec/evaluator.h"
 #include "exec/vec_batch.h"
+#include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/segment.h"
 
@@ -991,16 +993,29 @@ Status ExecVecAggregate(const PlanNode& node, VecExec& ex, VecResult* out) {
 }
 
 Status ExecVecNode(const PlanNode& node, VecExec& ex, VecResult* out) {
-  switch (node.kind) {
-    case PlanKind::kScan: return ExecVecScan(node, ex, out);
-    case PlanKind::kFilter: return ExecVecFilter(node, ex, out);
-    case PlanKind::kProject: return ExecVecProject(node, ex, out);
-    case PlanKind::kHashJoin: return ExecVecHashJoin(node, ex, out);
-    case PlanKind::kAggregate: return ExecVecAggregate(node, ex, out);
-    default:
-      return Status::Internal("operator is not vectorized: " +
-                              std::string(PlanKindName(node.kind)));
+  obs::TraceSpan* trace = ex.options.trace;
+  std::chrono::steady_clock::time_point start;
+  if (trace != nullptr) start = std::chrono::steady_clock::now();
+  Status status = [&]() -> Status {
+    switch (node.kind) {
+      case PlanKind::kScan: return ExecVecScan(node, ex, out);
+      case PlanKind::kFilter: return ExecVecFilter(node, ex, out);
+      case PlanKind::kProject: return ExecVecProject(node, ex, out);
+      case PlanKind::kHashJoin: return ExecVecHashJoin(node, ex, out);
+      case PlanKind::kAggregate: return ExecVecAggregate(node, ex, out);
+      default:
+        return Status::Internal("operator is not vectorized: " +
+                                std::string(PlanKindName(node.kind)));
+    }
+  }();
+  if (trace != nullptr && status.ok()) {
+    // Same post-order, names and notes as the row path; a soft trip is
+    // sticky, so "stopped by now" is exactly when the row path's output
+    // would carry `truncated`.
+    exec_internal::RecordOpSpan(trace, node, start, out->TotalActiveRows(),
+                                ex.ctx.soft_stopped());
   }
+  return status;
 }
 
 /// Boundary conversion: materialize one batch's active rows as row-path

@@ -387,7 +387,7 @@ class Analysis {
           // Member calls on a foreign object (`obj.F()`, `file_.Sync()`)
           // resolve to nothing: the receiver's type is unknown, and guessing
           // the caller's own class manufactures self-deadlock false
-          // positives (e.g. `shard.lru.size()` is not `ExecCache::size()`).
+          // positives (e.g. `shard.lru.size()` is not the caller's own `size()`).
           target = exact(fn.module, fn.cls, c.callee);
           if (target == nullptr) {
             auto it = by_name.find({fn.module, c.callee});

@@ -10,8 +10,8 @@ namespace agentfirst {
 
 /// Strict structural fingerprint of a plan subtree: identical plans (same
 /// operators, child order, expressions, tables) collide. Used as the key of
-/// the multi-query result cache, so it must only equate plans with identical
-/// output (schema order included).
+/// the memory store's exact lookups, so it must only equate plans with
+/// identical output (schema order included).
 uint64_t PlanFingerprint(const PlanNode& node);
 
 /// Canonical fingerprint: additionally normalizes commutative predicate

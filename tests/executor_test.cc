@@ -243,33 +243,6 @@ TEST_F(ExecutorTest, SamplingScanApproximates) {
   EXPECT_LT(est, 60);
 }
 
-TEST_F(ExecutorTest, CacheSharesIdenticalSubplans) {
-  ExecCache cache;
-  ExecOptions options;
-  options.cache = &cache;
-  auto r1 = engine_->ExecuteSql("SELECT count(*) FROM people WHERE age > 20", options);
-  ASSERT_TRUE(r1.ok());
-  uint64_t misses_after_first = cache.misses();
-  auto r2 = engine_->ExecuteSql("SELECT count(*) FROM people WHERE age > 20", options);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), misses_after_first);  // second run all hits
-  EXPECT_EQ((*r1)->rows[0][0].int_value(), (*r2)->rows[0][0].int_value());
-}
-
-TEST_F(ExecutorTest, CacheInvalidatedByWrites) {
-  ExecCache cache;
-  ExecOptions options;
-  options.cache = &cache;
-  auto r1 = engine_->ExecuteSql("SELECT count(*) FROM people", options);
-  ASSERT_TRUE(r1.ok());
-  Run("INSERT INTO people VALUES (11,'yan',30,'austin')");
-  auto r2 = engine_->ExecuteSql("SELECT count(*) FROM people", options);
-  ASSERT_TRUE(r2.ok());
-  // Data version changed -> new fingerprint -> fresh result.
-  EXPECT_EQ((*r2)->rows[0][0].int_value(), (*r1)->rows[0][0].int_value() + 1);
-}
-
 TEST_F(ExecutorTest, ResultToStringRendersTable) {
   auto rs = Run("SELECT id, name FROM people ORDER BY id LIMIT 2");
   std::string text = rs->ToString();

@@ -7,7 +7,6 @@
 // and batch results stay byte-identical to fault-free serial execution for
 // every probe that ultimately succeeds, at any thread count.
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -16,7 +15,6 @@
 
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
-#include "common/thread_pool.h"
 #include "core/system.h"
 #include "exec/engine.h"
 #include "gtest/gtest.h"
@@ -558,58 +556,6 @@ TEST_F(ProbeResilienceTest, CancelAllProbesThenReset) {
   ASSERT_TRUE(revived->answers[0].status.ok())
       << revived->answers[0].status.ToString();
   EXPECT_EQ(revived->answers[0].result->rows[0][0].int_value(), 4096);
-}
-
-// ---------------------------------------------------------------------------
-// ExecCache under concurrency: byte budget holds, hits stay correct
-// ---------------------------------------------------------------------------
-
-TEST(ExecCacheStressTest, ConcurrentPutGetHoldsByteBudget) {
-  constexpr size_t kCapacity = 64 * 1024;
-  ExecCache cache(kCapacity);
-
-  // Values big enough that the byte budget (not the key count) binds.
-  auto make_result = [](uint64_t key) {
-    auto rs = std::make_shared<ResultSet>();
-    for (int r = 0; r < 16; ++r) {
-      Row row;
-      row.push_back(Value::Int(static_cast<int64_t>(key)));
-      row.push_back(
-          Value::String(std::string(64, static_cast<char>('a' + key % 26))));
-      rs->rows.push_back(std::move(row));
-    }
-    return rs;
-  };
-
-  ThreadPool pool(4);
-  std::atomic<size_t> budget_violations{0};
-  std::atomic<size_t> wrong_values{0};
-  pool.ParallelFor(
-      0, 2000,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          // Spread keys over all 16 shards (shard = top byte of the key).
-          uint64_t key = (static_cast<uint64_t>(i % 64) << 56) | (i % 128);
-          if (ResultSetPtr hit = cache.Get(key); hit != nullptr) {
-            if (hit->rows.empty() ||
-                hit->rows[0][0].int_value() != static_cast<int64_t>(key)) {
-              wrong_values.fetch_add(1);
-            }
-          } else {
-            cache.Put(key, make_result(key));
-          }
-          if (cache.bytes() > kCapacity + 4096) budget_violations.fetch_add(1);
-        }
-      },
-      /*grain=*/16);
-
-  EXPECT_EQ(wrong_values.load(), 0u);
-  // Transient overshoot of one in-flight entry is tolerated above; the
-  // steady-state budget must hold exactly.
-  EXPECT_EQ(budget_violations.load(), 0u);
-  EXPECT_LE(cache.bytes(), kCapacity);
-  EXPECT_GT(cache.hits() + cache.misses(), 0u);
-  EXPECT_GT(cache.evictions(), 0u);
 }
 
 }  // namespace

@@ -2,14 +2,14 @@
 // generator produces SELECTs over a known schema; each query must
 //   (a) render to text that re-parses to the same text (round trip),
 //   (b) produce identical results with and without the rewrite rules,
-//   (c) produce identical results when run through the shared cache,
+//   (c) produce identical rows, in the same order, when traced,
 //   (d) never crash the executor.
 
 #include <functional>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
-#include "opt/mqo.h"
+#include "obs/trace.h"
 #include "opt/rules.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
@@ -105,13 +105,20 @@ class QueryGenerator {
   Rng rng_;
 };
 
-std::vector<std::string> Serialize(const ResultSet& rs) {
+/// Rows in result order.
+std::vector<std::string> RowStrings(const ResultSet& rs) {
   std::vector<std::string> rows;
   for (const Row& r : rs.rows) {
     std::string s;
     for (const Value& v : r) s += v.ToString() + "|";
     rows.push_back(std::move(s));
   }
+  return rows;
+}
+
+/// Rows as a sorted multiset.
+std::vector<std::string> Serialize(const ResultSet& rs) {
+  std::vector<std::string> rows = RowStrings(rs);
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -121,7 +128,6 @@ class FuzzSqlTest : public testing_util::PeopleDbTest,
 
 TEST_P(FuzzSqlTest, PipelineProperties) {
   QueryGenerator generator(GetParam());
-  BatchExecutor shared_batch;
   for (int i = 0; i < 60; ++i) {
     std::string sql = generator.Generate();
     SCOPED_TRACE(sql);
@@ -155,10 +161,17 @@ TEST_P(FuzzSqlTest, PipelineProperties) {
       EXPECT_EQ((*raw)->rows.size(), (*opt)->rows.size());
     }
 
-    // (c) Shared-cache execution equals direct execution.
-    auto cached = shared_batch.ExecuteBatch({optimized});
-    ASSERT_TRUE(cached[0].ok());
-    EXPECT_EQ(Serialize(**opt), Serialize(**cached[0]));
+    // (c) Traced execution equals untraced execution, row for row, and the
+    // trace ends with the root operator's span (post-order).
+    obs::TraceSpan trace;
+    ExecOptions traced_options;
+    traced_options.trace = &trace;
+    auto traced = ExecutePlan(*optimized, traced_options);
+    ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+    EXPECT_EQ(RowStrings(**opt), RowStrings(**traced));
+    ASSERT_FALSE(trace.children.empty());
+    EXPECT_EQ(trace.children.back()->name,
+              std::string("op:") + PlanKindName(optimized->kind));
   }
 }
 

@@ -8,7 +8,7 @@
 // bitwise-equivalent state machines. The reference runs each session's
 // probe script in-process; the subject serves an identical system over TCP
 // and runs the same scripts concurrently from N clients. With the
-// cross-probe couplings disabled (memory, MQO, steering, advisors) each
+// cross-probe couplings disabled (memory, steering, advisors) each
 // probe's response depends only on its own content, so the canonical
 // rendering — every answer field, every row, and the Render(false) trace —
 // must match byte-for-byte no matter how sessions interleave.
@@ -751,7 +751,6 @@ TEST(NetClientTest, PipelinedCallsCompleteOutOfOrder) {
 /// hides them — but a deadline could change *structure*).
 AgentFirstSystem::Options PureFunctionOptions() {
   AgentFirstSystem::Options options;
-  options.optimizer.enable_mqo = false;
   options.optimizer.enable_memory = false;
   options.optimizer.enable_steering = false;
   options.optimizer.materialization_threshold = 0;

@@ -279,9 +279,8 @@ std::string BatchTraceRendering(size_t parallelism) {
   mb.rows_per_dim_table = 16;
   mb.seed = 20260805;
   // Distinct gold queries per task keep every probe's plan unique: with the
-  // shared sub-plan cache and memory store off, no span can depend on
-  // which probe happened to execute first.
-  mb.system_options.optimizer.enable_mqo = false;
+  // memory store off, no span can depend on which probe happened to execute
+  // first.
   mb.system_options.optimizer.enable_memory = false;
   mb.system_options.optimizer.batch_parallelism = parallelism;
   mb.system_options.optimizer.trace_seed = 0xfeedbeef;

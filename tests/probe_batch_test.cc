@@ -69,6 +69,26 @@ TEST_F(ProbeBatchTest, PhaseRankBreaksTies) {
   EXPECT_FALSE((*responses)[1].answers[0].from_memory);
 }
 
+TEST_F(ProbeBatchTest, UnspecifiedPhaseOutranksStatExploration) {
+  // ProcessBatch and the server's admission queue share one phase order
+  // (PhaseAdmissionPriority): unknown intent ranks above cold exploration.
+  AgentFirstSystem::Options options;
+  options.optimizer.batch_parallelism = 1;
+  AgentFirstSystem system(options);
+  testing_util::BuildPeopleDb(system.engine());
+  Probe explore;
+  explore.agent_id = "e";
+  explore.queries = {"SELECT count(*) FROM orders"};
+  explore.brief.phase = ProbePhase::kStatExploration;
+  Probe unspecified;
+  unspecified.agent_id = "u";
+  unspecified.queries = {"SELECT count(*) FROM orders"};
+  auto responses = system.HandleProbeBatch({explore, unspecified});
+  ASSERT_TRUE(responses.ok());
+  EXPECT_TRUE((*responses)[0].answers[0].from_memory);
+  EXPECT_FALSE((*responses)[1].answers[0].from_memory);
+}
+
 TEST_F(ProbeBatchTest, CrossProbeSharingViaMemory) {
   std::vector<Probe> probes;
   for (int i = 0; i < 8; ++i) {

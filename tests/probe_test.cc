@@ -4,6 +4,8 @@
 #include "workload/minibird.h"
 #include "core/system.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace agentfirst {
@@ -99,6 +101,21 @@ TEST_F(ProbeTest, SingleQueryProbeAnswered) {
   ASSERT_TRUE(r.answers[0].status.ok());
   EXPECT_EQ(r.answers[0].result->rows[0][0].int_value(), 5);
   EXPECT_FALSE(r.answers[0].approximate);
+}
+
+TEST_F(ProbeTest, TracedProbeRunsOnVectorizedEngine) {
+  // Default options trace every probe; tracing must not force the row path.
+  obs::Counter* vec_plans =
+      obs::MetricsRegistry::Default().GetCounter("af.exec.vec.plans");
+  uint64_t before = vec_plans->value();
+  Probe probe;
+  probe.queries = {"SELECT count(*) FROM people WHERE age > 20"};
+  probe.brief.text = "verify exactly";
+  ProbeResponse r = Handle(probe);
+  ASSERT_TRUE(r.answers[0].status.ok());
+  EXPECT_FALSE(r.answers[0].from_memory);
+  EXPECT_GT(vec_plans->value(), before);
+  EXPECT_NE(r.trace.Find("op:Aggregate"), nullptr) << r.trace.Render(false);
 }
 
 TEST_F(ProbeTest, BindErrorReportedPerQuery) {

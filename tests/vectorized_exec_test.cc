@@ -21,6 +21,7 @@
 #include "exec/engine.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace agentfirst {
@@ -112,6 +113,22 @@ class VectorizedParityTest : public ::testing::TestWithParam<size_t> {
     AF_ASSERT_OK_RESULT(r);
     AF_ASSERT_OK_RESULT(v);
     EXPECT_TRUE(ExactlyEqual(**r, **v))
+        << sql << " with num_threads=" << GetParam();
+
+    // Traced, both engines record the same operator span tree: names,
+    // post-order, row counts and truncation notes (durations excluded).
+    obs::TraceSpan row_trace;
+    obs::TraceSpan vec_trace;
+    row.trace = &row_trace;
+    vec.trace = &vec_trace;
+    auto rt = engine_->ExecuteSql(sql, row);
+    auto vt = engine_->ExecuteSql(sql, vec);
+    AF_ASSERT_OK_RESULT(rt);
+    AF_ASSERT_OK_RESULT(vt);
+    EXPECT_TRUE(ExactlyEqual(**r, **rt)) << sql << " traced on the row path";
+    EXPECT_TRUE(ExactlyEqual(**r, **vt)) << sql << " traced, vectorized";
+    EXPECT_FALSE(row_trace.children.empty()) << sql;
+    EXPECT_EQ(row_trace.Render(false), vec_trace.Render(false))
         << sql << " with num_threads=" << GetParam();
   }
 
@@ -338,6 +355,16 @@ TEST(VectorizedExecTest, VecPlanAndFallbackMetricsMove) {
   auto r = engine.ExecuteSql("SELECT id FROM big WHERE id < 10");
   AF_ASSERT_OK_RESULT(r);
   EXPECT_GT(plans->value(), plans_before);
+
+  // Tracing does not force the row path.
+  obs::TraceSpan trace;
+  ExecOptions traced;
+  traced.trace = &trace;
+  plans_before = plans->value();
+  auto t = engine.ExecuteSql("SELECT id FROM big WHERE id < 10", traced);
+  AF_ASSERT_OK_RESULT(t);
+  EXPECT_GT(plans->value(), plans_before);
+  EXPECT_NE(trace.Find("op:Scan"), nullptr);
 
   uint64_t fallbacks_before = fallbacks->value();
   auto f = engine.ExecuteSql("SELECT name FROM big WHERE name LIKE 'g1%'");

@@ -23,8 +23,11 @@
 #                       memory store (probe_concurrency_test), then the bench
 #                       smokes: bench_parallel_exec --quick fails if the
 #                       vectorized path is ever slower than the row path;
-#                       bench_memory_store --quick fails if GetExact or Put
-#                       at 4096 artifacts costs over 2x its cost at 256
+#                       bench_obs fails if tracing adds 10% or more to a
+#                       probe batch or the disabled span hook costs over
+#                       10 ns; bench_memory_store --quick fails if GetExact
+#                       or Put at 4096 artifacts costs over 2x its cost at
+#                       256
 #   8. durability     — the WAL kill-and-recover torture (wal_test) under
 #                       AddressSanitizer via tools/run_sanitized.sh: every
 #                       injected crash site must recover to a committed
@@ -159,6 +162,10 @@ if [[ "$run_tests" == "1" ]]; then
   # on any regression. Run from the default (unsanitized) build.
   cmake --build build -j "$(nproc)" --target bench_parallel_exec > /dev/null
   ./build/bench/bench_parallel_exec --quick
+  # Tracing is on by default, so it must stay cheap: traced probes take the
+  # vectorized engine like untraced ones (exit 1 on FAIL).
+  cmake --build build -j "$(nproc)" --target bench_obs > /dev/null
+  ./build/bench/bench_obs
   # Scaling gate: the memory-store operations every probe makes must not
   # grow with store fill (exit 1 on FAIL).
   cmake --build build -j "$(nproc)" --target bench_memory_store > /dev/null
